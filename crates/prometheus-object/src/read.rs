@@ -446,6 +446,23 @@ pub trait Reader: Sized + Send + Sync {
         self.raw_kv_get(KS_CLS_EDGES, &index::cls_edge_key(cls, rel_oid))
             .is_some()
     }
+
+    /// Whether `node` participates in a classification: some edge leaving
+    /// or arriving at it is a member. Record-free (endpoint and membership
+    /// indexes only) and stops at the first member edge, so it costs
+    /// O(degree of `node`), not O(size of the classification).
+    fn node_in_classification(&self, cls: Oid, node: Oid) -> DbResult<bool> {
+        for outgoing in [true, false] {
+            let adj = self.adjacency(node, None, outgoing)?;
+            if adj
+                .iter()
+                .any(|(edge, _)| self.edge_in_classification(cls, *edge))
+            {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
 }
 
 fn load_rels<R: Reader>(db: &R, ks: Keyspace, prefix: &[u8]) -> DbResult<Vec<RelInstance>> {

@@ -5,6 +5,7 @@
 //! views to present a taxonomist with "one classification at a time" out of
 //! the overlapping whole — the objects stay shared, the view only filters.
 
+use crate::classification::Classification;
 use crate::database::Database;
 use crate::error::{DbError, DbResult};
 use crate::index::{KS_META, META_VIEWS};
@@ -53,35 +54,41 @@ impl View {
     /// classifications. Generic over [`Reader`], so a view can be evaluated
     /// against a pinned snapshot.
     pub fn members<R: Reader>(&self, db: &R) -> DbResult<BTreeSet<Oid>> {
-        let class_members: Option<BTreeSet<Oid>> = if self.classes.is_empty() {
-            None
-        } else {
-            let mut out = BTreeSet::new();
-            for class in &self.classes {
-                out.extend(db.extent(class, true)?);
+        if self.classes.is_empty() {
+            if self.classifications.is_empty() {
+                return Ok(db
+                    .with_schema(|s| s.class_names().map(String::from).collect::<Vec<_>>())
+                    .iter()
+                    .flat_map(|c| db.extent(c, false).unwrap_or_default())
+                    .collect());
             }
-            Some(out)
-        };
-        let cls_members: Option<BTreeSet<Oid>> = if self.classifications.is_empty() {
-            None
-        } else {
+            // Only a classification filter: the whole participant set is
+            // the answer, so materialise it.
             let mut out = BTreeSet::new();
             for cls in &self.classifications {
-                let handle = crate::classification::Classification::from_oid(*cls);
-                out.extend(handle.nodes(db)?);
+                out.extend(Classification::from_oid(*cls).nodes(db)?);
             }
-            Some(out)
-        };
-        Ok(match (class_members, cls_members) {
-            (Some(a), Some(b)) => a.intersection(&b).copied().collect(),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => db
-                .with_schema(|s| s.class_names().map(String::from).collect::<Vec<_>>())
-                .iter()
-                .flat_map(|c| db.extent(c, false).unwrap_or_default())
-                .collect(),
-        })
+            return Ok(out);
+        }
+        let mut class_members = BTreeSet::new();
+        for class in &self.classes {
+            class_members.extend(db.extent(class, true)?);
+        }
+        if self.classifications.is_empty() {
+            return Ok(class_members);
+        }
+        // Both filters: probe each class member's edges (O(degree) each)
+        // rather than materialising every classification.
+        let mut out = BTreeSet::new();
+        for oid in class_members {
+            for cls in &self.classifications {
+                if db.node_in_classification(*cls, oid)? {
+                    out.insert(oid);
+                    break;
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// Persist this view definition.

@@ -27,7 +27,6 @@
 
 use crate::ast::*;
 use crate::plan::{self, PlanInfo, SourcePlan};
-use prometheus_object::classification::Classification;
 use prometheus_object::morsel;
 use prometheus_object::traversal::{self, Direction, TraversalSpec};
 use prometheus_object::{DbError, DbResult, Oid, Reader, Value};
@@ -232,15 +231,20 @@ fn execute<R: Reader>(
             db.extent(&clause.class, true)?
         };
         if let Some(cls) = context {
-            let handle = Classification::from_oid(cls);
-            if clause.edges {
-                let member: std::collections::BTreeSet<Oid> =
-                    db.classification_edges(cls)?.into_iter().collect();
-                candidates.retain(|oid| member.contains(oid));
-            } else {
-                let nodes = handle.nodes(db)?;
-                candidates.retain(|oid| nodes.contains(oid));
+            // Per-candidate index probes: never a walk over the whole
+            // classification, so a seeded scan stays O(seed · degree).
+            let mut scoped = Vec::with_capacity(candidates.len());
+            for oid in candidates {
+                let member = if clause.edges {
+                    db.edge_in_classification(cls, oid)
+                } else {
+                    db.node_in_classification(cls, oid)?
+                };
+                if member {
+                    scoped.push(oid);
+                }
             }
+            candidates = scoped;
         }
         if let Some(span) = scan_span {
             // c0 = candidate rows entering the filter; c1 = 1 when an index

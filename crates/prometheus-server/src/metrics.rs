@@ -596,7 +596,7 @@ mod tests {
     #[test]
     fn metrics_and_trace_ring_survive_concurrent_hammering() {
         use prometheus_db::{Recorder, Stage, TraceEvent};
-        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
         const THREADS: u64 = 8;
         const OPS: u64 = 2_000;
@@ -604,13 +604,24 @@ mod tests {
         let metrics = ServerMetrics::default();
         let recorder = Recorder::new(256); // small ring: force heavy lapping
         let stop = AtomicBool::new(false);
+        // Events the reader has checked so far. Writers pause halfway until
+        // it is non-zero, so the reader provably races live writers even
+        // when the scheduler would otherwise run the writers to completion
+        // first.
+        let seen_so_far = AtomicUsize::new(0);
 
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 let metrics = &metrics;
                 let recorder = &recorder;
+                let seen_so_far = &seen_so_far;
                 scope.spawn(move || {
                     for i in 0..OPS {
+                        if i == OPS / 2 {
+                            while seen_so_far.load(Ordering::Acquire) == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
                         metrics.count_request("query");
                         metrics.record_latency_us("query", i % 3_000);
                         // Self-consistent payload: every word equals the
@@ -640,6 +651,7 @@ mod tests {
                         assert_eq!(ev.trace_id.lo, ev.c1, "torn event: {ev:?}");
                         seen += 1;
                     }
+                    seen_so_far.store(seen, Ordering::Release);
                 }
                 seen
             });

@@ -230,15 +230,19 @@ pub fn detect_name_synonyms(
             .filter(|oid| db.class_of(*oid).map(|c| c == "CT").unwrap_or(false))
             .collect())
     };
+    // B's named CTs once, in node order: the pairing loop below then does
+    // no record decodes or name lookups per CT of A.
+    let mut named_b = Vec::new();
+    for tb in cts(cls_b)? {
+        if let Some(nb) = name_of_ct(tb)? {
+            named_b.push((tb, nb));
+        }
+    }
     let mut out = Vec::new();
     for ta in cts(cls_a)? {
         let Some(na) = name_of_ct(ta)? else { continue };
-        for tb in cts(cls_b)? {
-            if ta == tb {
-                continue;
-            }
-            let Some(nb) = name_of_ct(tb)? else { continue };
-            if na == nb {
+        for &(tb, nb) in &named_b {
+            if ta != tb && na == nb {
                 out.push(NameSynonym {
                     taxon_a: ta,
                     taxon_b: tb,
@@ -322,6 +326,40 @@ mod tests {
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].name, nt);
         let _ = db;
+    }
+
+    #[test]
+    fn name_synonyms_pair_in_node_order_and_skip_shared_taxa() {
+        let tax = fresh();
+        let cls_a = tax.new_classification("A", "a", "x").unwrap();
+        let cls_b = tax.new_classification("B", "b", "y").unwrap();
+        let nt = tax.create_nt("Apium", Rank::Genus, 1753, "L.").unwrap();
+        let named: Vec<Oid> = (0..4)
+            .map(|i| {
+                let ct = tax.create_ct(&format!("g{i}"), Rank::Genus).unwrap();
+                tax.ascribe_name(ct, nt).unwrap();
+                ct
+            })
+            .collect();
+        // A holds g0, g1 and the shared g2; B holds g2 and g3.
+        for (cls, cts) in [(&cls_a, &named[..3]), (&cls_b, &named[2..])] {
+            for &ct in cts {
+                let child = tax.create_ct("sp", Rank::Species).unwrap();
+                tax.circumscribe(cls, ct, child).unwrap();
+            }
+        }
+        let pairs: Vec<(Oid, Oid)> = detect_name_synonyms(&tax, &cls_a, &cls_b)
+            .unwrap()
+            .into_iter()
+            .map(|s| (s.taxon_a, s.taxon_b))
+            .collect();
+        let [g0, g1, g2, g3] = named[..] else {
+            unreachable!()
+        };
+        assert_eq!(
+            pairs,
+            vec![(g0, g2), (g0, g3), (g1, g2), (g1, g3), (g2, g3)]
+        );
     }
 
     #[test]
