@@ -194,7 +194,10 @@ impl Database {
         )
     }
 
-    /// Register an event listener (the rule engine).
+    /// Register an event listener (the rule engine). The database owns its
+    /// listeners, so a listener must use the `&Database` its callbacks
+    /// receive and never hold an `Arc<Database>`: that would be a cycle
+    /// that keeps this database alive after its last user drops it.
     pub fn add_listener(&self, listener: Arc<dyn EventListener>) {
         self.listeners.write().push(listener);
     }

@@ -94,6 +94,12 @@ impl Event {
 /// Listener callbacks receive the database itself so that rule conditions and
 /// actions can query and mutate it; the database takes care not to hold
 /// internal locks across these calls.
+///
+/// A listener must read and write through that `&Database` and must never
+/// hold an `Arc<Database>` (directly or inside a facade such as a taxonomy
+/// handle): the database owns its listeners, so such a handle is a
+/// reference cycle and the database — its image, entity cache and log
+/// files — is never freed.
 pub trait EventListener: Send + Sync {
     /// Called before the mutation is applied. Returning an error vetoes it.
     fn before(&self, _db: &Database, _event: &Event) -> DbResult<()> {

@@ -282,9 +282,10 @@ fn pull_loop(
                     }) => {
                         epochs[shard] = e;
                         horizons[shard] = log_len;
-                        if !frames.is_empty() {
+                        let got_frames = !frames.is_empty();
+                        if got_frames {
                             caught_up = false;
-                            match member.apply_replicated(&frames) {
+                            match member.apply_replicated(frames) {
                                 Ok(summary) => {
                                     if db.refresh_replicated(&summary).is_err() {
                                         // Cache refresh failing means local
@@ -305,7 +306,7 @@ fn pull_loop(
                             caught_up = false;
                         }
                         debug_assert!(
-                            frames.is_empty() || applied == next_offset,
+                            !got_frames || applied == next_offset,
                             "replayed shard log must stay byte-aligned with the primary"
                         );
                     }

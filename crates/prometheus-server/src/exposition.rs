@@ -350,13 +350,13 @@ pub fn render_prometheus_exposition(server: &MetricsSnapshot, storage: &StatsSna
     write_counter(
         &mut out,
         "prometheus_trace_index_evictions_total",
-        "Trace-index buckets recycled to admit newer traces.",
+        "Trace-index notes landing in a bucket last noted by another trace.",
         server.trace_index_evictions,
     );
     write_counter(
         &mut out,
         "prometheus_trace_index_overflows_total",
-        "Span events not indexed because their trace's slot list was full.",
+        "Trace-index notes that overwrote a ticket still live in the ring.",
         server.trace_index_overflows,
     );
 

@@ -23,7 +23,7 @@ use crate::error::{StorageError, StorageResult};
 use crate::oid::Oid;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Maximum frame payload the reader will accept; guards recovery against a
@@ -203,71 +203,104 @@ impl LogWriter {
     }
 }
 
-/// One frame recovered from the log.
-#[derive(Debug)]
-pub struct RecoveredFrame {
-    /// Byte offset of the frame header.
-    pub offset: u64,
-    /// Decoded record.
-    pub record: LogRecord,
-}
-
-/// Result of scanning a log file.
-#[derive(Debug)]
-pub struct LogScan {
-    /// All structurally valid frames in order.
-    pub frames: Vec<RecoveredFrame>,
-    /// Length of the valid prefix; any bytes beyond this are torn/corrupt.
-    pub valid_len: u64,
-}
-
-/// Read and validate every frame in the log at `path`.
+/// Streaming reader over the valid frame prefix of a log file.
 ///
-/// Scanning stops — without error — at the first torn or corrupt frame;
-/// crash recovery treats everything before that point as the authoritative
-/// history.
-pub fn scan(path: &Path) -> StorageResult<LogScan> {
-    let mut frames = Vec::new();
-    let mut valid_len = 0u64;
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(LogScan { frames, valid_len })
+/// Recovery pulls frames one at a time through [`FrameReader::next_record`]
+/// and hands each decoded record on by value, so replay never holds more
+/// than one frame's payload besides what the caller buffers itself. The
+/// payload buffer is reused across frames, and each payload is read through
+/// `Read::take(len)`: a corrupt length word allocates only the bytes the
+/// file actually holds, never the length it claims.
+///
+/// Reading stops — without error — at the first torn or corrupt frame
+/// (short header, oversized or short payload, CRC mismatch, undecodable
+/// record); everything before that point is the authoritative history and
+/// [`FrameReader::valid_len`] is where it ends.
+#[derive(Debug)]
+pub struct FrameReader {
+    /// `None` once reading has stopped (or when the file does not exist).
+    reader: Option<BufReader<File>>,
+    payload: Vec<u8>,
+    /// End of the last frame returned: the valid prefix read so far.
+    offset: u64,
+    /// Frames must end at or before this offset.
+    end: u64,
+}
+
+impl FrameReader {
+    /// Read the log at `path` from its first frame. A missing file reads as
+    /// an empty log.
+    pub fn open(path: &Path) -> StorageResult<FrameReader> {
+        let file = match File::open(path) {
+            Ok(f) => Some(f),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e.into()),
+        };
+        Ok(FrameReader::over(file, 0, u64::MAX))
+    }
+
+    /// Read `file` from `offset` (already seeked to), accepting only frames
+    /// that end at or before `end`.
+    fn over(file: Option<File>, offset: u64, end: u64) -> FrameReader {
+        FrameReader {
+            reader: file.map(BufReader::new),
+            payload: Vec::new(),
+            offset,
+            end,
         }
-        Err(e) => return Err(e.into()),
-    };
-    let mut reader = std::io::BufReader::new(file);
-    let mut header = [0u8; 8];
-    loop {
-        match read_exact_or_eof(&mut reader, &mut header)? {
-            ReadOutcome::Eof => break,
-            ReadOutcome::Partial => break, // torn header
+    }
+
+    /// The next valid frame's record, or `None` at the end of the valid
+    /// prefix. Once it has returned `None` it keeps doing so.
+    pub fn next_record(&mut self) -> StorageResult<Option<LogRecord>> {
+        let record = self.read_frame()?;
+        if record.is_none() {
+            self.reader = None;
+        }
+        Ok(record)
+    }
+
+    /// Length of the valid prefix read so far: the offset just past the
+    /// last frame [`FrameReader::next_record`] returned.
+    pub fn valid_len(&self) -> u64 {
+        self.offset
+    }
+
+    fn read_frame(&mut self) -> StorageResult<Option<LogRecord>> {
+        let Some(reader) = self.reader.as_mut() else {
+            return Ok(None);
+        };
+        if self.offset.saturating_add(8) > self.end {
+            return Ok(None); // a frame header cannot straddle `end`
+        }
+        let mut header = [0u8; 8];
+        match read_exact_or_eof(reader, &mut header)? {
             ReadOutcome::Full => {}
+            ReadOutcome::Eof | ReadOutcome::Partial => return Ok(None), // end, or torn header
         }
         let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
         let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if len > MAX_FRAME_LEN {
-            break; // corrupt length word
+        let frame_end = self.offset + 8 + len as u64;
+        if len > MAX_FRAME_LEN || frame_end > self.end {
+            return Ok(None); // corrupt length word, or not a frame boundary
         }
-        let mut payload = vec![0u8; len as usize];
-        match read_exact_or_eof(&mut reader, &mut payload)? {
-            ReadOutcome::Full => {}
-            _ => break, // torn payload
+        self.payload.clear();
+        reader
+            .by_ref()
+            .take(len as u64)
+            .read_to_end(&mut self.payload)?;
+        if self.payload.len() != len as usize {
+            return Ok(None); // torn payload
         }
-        if crc32(&payload) != crc {
-            break; // corrupt payload
+        if crc32(&self.payload) != crc {
+            return Ok(None); // corrupt payload
         }
-        let record = match codec::from_bytes::<LogRecord>(&payload) {
-            Ok(r) => r,
-            Err(_) => break, // undecodable payload
+        let Ok(record) = codec::from_bytes::<LogRecord>(&self.payload) else {
+            return Ok(None); // undecodable payload
         };
-        frames.push(RecoveredFrame {
-            offset: valid_len,
-            record,
-        });
-        valid_len += 8 + len as u64;
+        self.offset = frame_end;
+        Ok(Some(record))
     }
-    Ok(LogScan { frames, valid_len })
 }
 
 /// Read frames from `offset` up to `end` (a known committed frame boundary),
@@ -285,46 +318,23 @@ pub fn tail(
     max_bytes: u64,
     end: u64,
 ) -> StorageResult<Option<(Vec<LogRecord>, u64)>> {
-    let file = match File::open(path) {
+    let mut file = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let mut reader = std::io::BufReader::new(file);
-    reader.seek(SeekFrom::Start(offset))?;
+    file.seek(SeekFrom::Start(offset))?;
+    // A file shorter than `end` (rewritten underneath us) or bytes that are
+    // not a frame boundary simply end the read early.
+    let mut reader = FrameReader::over(Some(file), offset, end);
     let mut frames = Vec::new();
-    let mut at = offset;
-    let mut collected = 0u64;
-    let mut header = [0u8; 8];
-    while at < end && collected < max_bytes.max(1) {
-        if at + 8 > end {
-            break; // a frame header cannot straddle the committed boundary
+    while reader.valid_len() - offset < max_bytes.max(1) {
+        match reader.next_record()? {
+            Some(record) => frames.push(record),
+            None => break,
         }
-        match read_exact_or_eof(&mut reader, &mut header)? {
-            ReadOutcome::Full => {}
-            _ => break, // file shorter than `end`: rewritten underneath us
-        }
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if len > MAX_FRAME_LEN || at + 8 + len as u64 > end {
-            break; // not a frame boundary
-        }
-        let mut payload = vec![0u8; len as usize];
-        match read_exact_or_eof(&mut reader, &mut payload)? {
-            ReadOutcome::Full => {}
-            _ => break,
-        }
-        if crc32(&payload) != crc {
-            break;
-        }
-        let record = match codec::from_bytes::<LogRecord>(&payload) {
-            Ok(r) => r,
-            Err(_) => break,
-        };
-        frames.push(record);
-        at += 8 + len as u64;
-        collected += 8 + len as u64;
     }
+    let at = reader.valid_len();
     if frames.is_empty() && at < end {
         // We were asked for data that provably exists but could not decode a
         // single frame at `offset`: the cursor is misaligned.
@@ -369,6 +379,17 @@ mod tests {
         dir
     }
 
+    /// Every record of the valid prefix plus its length. Test logs are a
+    /// handful of frames, so collecting them is fine here.
+    fn read_all(path: &Path) -> (Vec<LogRecord>, u64) {
+        let mut reader = FrameReader::open(path).unwrap();
+        let mut records = Vec::new();
+        while let Some(record) = reader.next_record().unwrap() {
+            records.push(record);
+        }
+        (records, reader.valid_len())
+    }
+
     fn sample_records() -> Vec<LogRecord> {
         vec![
             LogRecord::Begin { txn: 1 },
@@ -404,21 +425,18 @@ mod tests {
             w.append(r).unwrap();
         }
         w.sync().unwrap();
-        let scan = scan(&path).unwrap();
-        assert_eq!(scan.frames.len(), records.len());
-        for (frame, expected) in scan.frames.iter().zip(&records) {
-            assert_eq!(&frame.record, expected);
-        }
-        assert_eq!(scan.valid_len, w.len());
+        let (read, valid_len) = read_all(&path);
+        assert_eq!(read, records);
+        assert_eq!(valid_len, w.len());
     }
 
     #[test]
     fn scan_of_missing_file_is_empty() {
         let path = tmp_dir().join("nonexistent.log");
         let _ = std::fs::remove_file(&path);
-        let scan = scan(&path).unwrap();
-        assert!(scan.frames.is_empty());
-        assert_eq!(scan.valid_len, 0);
+        let (read, valid_len) = read_all(&path);
+        assert!(read.is_empty());
+        assert_eq!(valid_len, 0);
     }
 
     #[test]
@@ -436,9 +454,9 @@ mod tests {
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&[0x05, 0x00]).unwrap();
         f.sync_data().unwrap();
-        let scan = scan(&path).unwrap();
-        assert_eq!(scan.frames.len(), 5);
-        assert_eq!(scan.valid_len, good_len);
+        let (read, valid_len) = read_all(&path);
+        assert_eq!(read.len(), 5);
+        assert_eq!(valid_len, good_len);
     }
 
     #[test]
@@ -456,11 +474,8 @@ mod tests {
         let mid = data.len() / 2;
         data[mid] ^= 0xFF;
         std::fs::write(&path, &data).unwrap();
-        let scan = scan(&path).unwrap();
-        assert!(
-            scan.frames.len() < 5,
-            "scan must stop at the corrupted frame"
-        );
+        let (read, _) = read_all(&path);
+        assert!(read.len() < 5, "scan must stop at the corrupted frame");
     }
 
     #[test]
@@ -475,8 +490,8 @@ mod tests {
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(b"garbage").unwrap();
         drop(f);
-        let s1 = scan(&path).unwrap();
-        let mut w = LogWriter::open(&path, s1.valid_len).unwrap();
+        let (_, valid_len) = read_all(&path);
+        let mut w = LogWriter::open(&path, valid_len).unwrap();
         assert_eq!(w.len(), good);
         w.append(&LogRecord::Commit {
             txn: 1,
@@ -484,7 +499,56 @@ mod tests {
         })
         .unwrap();
         w.sync().unwrap();
-        let s2 = scan(&path).unwrap();
-        assert_eq!(s2.frames.len(), 2);
+        assert_eq!(read_all(&path).0.len(), 2);
+    }
+
+    #[test]
+    fn corrupt_length_word_allocates_only_what_the_file_holds() {
+        let path = tmp_dir().join("huge-len.log");
+        let _ = std::fs::remove_file(&path);
+        let mut w = LogWriter::open(&path, 0).unwrap();
+        w.append(&LogRecord::Begin { txn: 1 }).unwrap();
+        w.sync().unwrap();
+        let good = w.len();
+        drop(w);
+        // A header claiming a payload just under the frame cap, followed by
+        // a few bytes: the reader must not size its buffer off the claim.
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&(MAX_FRAME_LEN - 1).to_le_bytes()).unwrap();
+        f.write_all(&0u32.to_le_bytes()).unwrap();
+        f.write_all(&[7u8; 100]).unwrap();
+        drop(f);
+        let mut reader = FrameReader::open(&path).unwrap();
+        assert!(reader.next_record().unwrap().is_some());
+        assert!(reader.next_record().unwrap().is_none());
+        assert!(reader.next_record().unwrap().is_none());
+        assert_eq!(reader.valid_len(), good);
+        assert!(
+            reader.payload.capacity() < 64 * 1024,
+            "payload buffer grew to {} bytes for a 100-byte torn frame",
+            reader.payload.capacity()
+        );
+    }
+
+    #[test]
+    fn tail_stops_at_the_committed_end() {
+        let path = tmp_dir().join("tail.log");
+        let _ = std::fs::remove_file(&path);
+        let mut w = LogWriter::open(&path, 0).unwrap();
+        let mut ends = Vec::new();
+        for r in sample_records() {
+            w.append(&r).unwrap();
+            ends.push(w.len());
+        }
+        w.sync().unwrap();
+        // Up to the third frame's end, one frame per batch byte budget.
+        let (frames, next) = tail(&path, 0, 1, ends[2]).unwrap().unwrap();
+        assert_eq!(frames, sample_records()[..1]);
+        assert_eq!(next, ends[0]);
+        let (frames, next) = tail(&path, ends[0], u64::MAX, ends[2]).unwrap().unwrap();
+        assert_eq!(frames, sample_records()[1..3]);
+        assert_eq!(next, ends[2]);
+        // A cursor inside a frame is misaligned.
+        assert!(tail(&path, 3, u64::MAX, ends[4]).unwrap().is_none());
     }
 }

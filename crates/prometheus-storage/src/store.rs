@@ -274,18 +274,21 @@ pub struct ReplayState {
 
 impl ReplayState {
     /// Feed one frame; returns the records of the group it settled, if any.
-    pub fn offer(&mut self, record: &LogRecord) -> Vec<LogRecord> {
+    ///
+    /// The record is taken by value: data records move into the pending
+    /// group and out again into the image, so replay never copies a payload.
+    pub fn offer(&mut self, record: LogRecord) -> Vec<LogRecord> {
         match record {
             LogRecord::Begin { txn } => {
-                self.pending.insert(*txn, Vec::new());
+                self.pending.insert(txn, Vec::new());
                 self.next_txn = self.next_txn.max(txn + 1);
                 Vec::new()
             }
             LogRecord::Commit { txn, next_oid } => {
                 // The OID high-water mark is honoured even for discarded
                 // units, so identifiers are never re-issued.
-                self.next_oid = self.next_oid.max(*next_oid);
-                match self.pending.remove(txn) {
+                self.next_oid = self.next_oid.max(next_oid);
+                match self.pending.remove(&txn) {
                     Some(records) => match self.open_unit.as_mut() {
                         Some((_, buffered)) => {
                             buffered.extend(records);
@@ -301,7 +304,7 @@ impl ReplayState {
             LogRecord::UnitBegin { unit } => {
                 // A new unit while one is still open means the previous one
                 // was never sealed: discard it.
-                self.open_unit = Some((*unit, Vec::new()));
+                self.open_unit = Some((unit, Vec::new()));
                 self.prepared = None;
                 self.unit_trace = None;
                 self.next_txn = self.next_txn.max(unit + 1);
@@ -310,7 +313,7 @@ impl ReplayState {
             LogRecord::UnitEnd { unit, committed } => {
                 self.prepared = None;
                 match self.open_unit.take() {
-                    Some((open, buffered)) if *committed && open == *unit => buffered,
+                    Some((open, buffered)) if committed && open == unit => buffered,
                     _ => Vec::new(),
                 }
             }
@@ -322,13 +325,13 @@ impl ReplayState {
                 // Phase one of a cross-shard unit: keep buffering, but mark
                 // the group so recovery treats a log ending here as in doubt
                 // rather than presuming abort.
-                if matches!(self.open_unit.as_ref(), Some((open, _)) if open == unit) {
-                    self.prepared = Some((*gid, *coordinator));
+                if matches!(self.open_unit.as_ref(), Some((open, _)) if *open == unit) {
+                    self.prepared = Some((gid, coordinator));
                 }
                 Vec::new()
             }
             LogRecord::UnitDecision { gid, committed } => {
-                self.decisions.insert(*gid, *committed);
+                self.decisions.insert(gid, committed);
                 Vec::new()
             }
             LogRecord::UnitTrace {
@@ -339,14 +342,14 @@ impl ReplayState {
                 // Purely observational: the image never sees the mark, but a
                 // follower holds it until the unit's seal to correlate its
                 // replay spans with the primary's trace.
-                if matches!(self.open_unit.as_ref(), Some((open, _)) if open == unit) {
-                    self.unit_trace = Some((*trace_hi, *trace_lo));
+                if matches!(self.open_unit.as_ref(), Some((open, _)) if *open == unit) {
+                    self.unit_trace = Some((trace_hi, trace_lo));
                 }
                 Vec::new()
             }
-            other => {
-                if let Some(buf) = self.pending.get_mut(&other.txn()) {
-                    buf.push(other.clone());
+            data => {
+                if let Some(buf) = self.pending.get_mut(&data.txn()) {
+                    buf.push(data);
                 }
                 Vec::new()
             }
@@ -502,7 +505,7 @@ impl Store {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let scan = log::scan(&path)?;
+        let mut frames = log::FrameReader::open(&path)?;
         let mut image = Image::default();
         // Group frames by transaction; apply only committed groups, in commit
         // order (commit order equals log order for a single-writer log).
@@ -512,15 +515,17 @@ impl Store {
         // never half of it. The same state machine drives follower replay
         // (see [`ReplayState`]).
         let mut replay = ReplayState::default();
-        // Replay applies owned records: the decoded payloads move straight
-        // into the image as `Bytes` without a second copy.
+        // Frames stream off the file one at a time and move by value through
+        // the replay state into the image: the decoded payloads become
+        // `Bytes` without a second copy, and no list of every frame is ever
+        // built. Peak memory is the image plus the largest open group.
         let mut replay_touch = Touch::default();
-        for frame in scan.frames {
-            for record in replay.offer(&frame.record) {
+        while let Some(record) = frames.next_record()? {
+            for record in replay.offer(record) {
                 image.apply_owned(record, &mut replay_touch);
             }
         }
-        let mut logw = LogWriter::open(&path, scan.valid_len)?;
+        let mut logw = LogWriter::open(&path, frames.valid_len())?;
         let mut in_doubt = None;
         if let Some(unit) = replay.open_unit_id() {
             match replay.open_unit_prepared() {
@@ -541,7 +546,7 @@ impl Store {
                     };
                     logw.append(&seal)?;
                     logw.sync()?;
-                    replay.offer(&seal);
+                    replay.offer(seal);
                 }
             }
         }
@@ -685,7 +690,7 @@ impl Store {
         let mut inner = self.inner.lock();
         let record = LogRecord::UnitDecision { gid, committed };
         inner.logw.append(&record)?;
-        inner.replay.offer(&record);
+        inner.replay.offer(record);
         Stats::bump(&self.stats.log_appends);
         if self.options.sync_on_commit {
             inner.logw.sync()?;
@@ -726,7 +731,7 @@ impl Store {
         Stats::bump(&self.stats.syncs);
         self.committed_len
             .store(inner.logw.len(), Ordering::Release);
-        let ready = inner.replay.offer(&seal);
+        let ready = inner.replay.offer(seal);
         if !ready.is_empty() {
             let mut touch = Touch::default();
             for record in ready {
@@ -941,14 +946,14 @@ impl Store {
             next_oid: self.oids.high_water_mark(),
         })?;
         new_log.sync()?;
+        let log_len = new_log.len();
         drop(new_log);
         std::fs::rename(&tmp_path, &self.path)?;
         // The rename only survives power loss once the directory entry is on
         // stable storage; syncing the file alone is not enough.
         log::fsync_parent_dir(&self.path)?;
         // Reopen the writer positioned at the end of the compacted log.
-        let scan = log::scan(&self.path)?;
-        inner.logw = LogWriter::open(&self.path, scan.valid_len)?;
+        inner.logw = LogWriter::open(&self.path, log_len)?;
         // Every byte offset into the old log is now meaningless: bump the
         // epoch so replication followers mid-tail are forced to re-handshake
         // instead of silently reading frames that no longer line up. The new
@@ -956,10 +961,10 @@ impl Store {
         // crash between rename and sidecar write can at worst leave the old
         // epoch on disk — which sends followers through the conservative
         // resync path, never through a silent misread of the new log.
-        self.committed_len.store(scan.valid_len, Ordering::Release);
+        self.committed_len.store(log_len, Ordering::Release);
         let epoch = self.log_epoch.fetch_add(1, Ordering::Release) + 1;
         persist_epoch_sidecar(&self.path, epoch)?;
-        Ok((inner.image.record_count() as u64, scan.valid_len))
+        Ok((inner.image.record_count() as u64, log_len))
     }
 
     // -----------------------------------------------------------------
@@ -1032,7 +1037,10 @@ impl Store {
     /// Groups still open at the end of the batch (a unit of work split over
     /// several polls) stay buffered in the store's [`ReplayState`] and are
     /// published — atomically — only when a later batch delivers the seal.
-    pub fn apply_replicated(&self, records: &[LogRecord]) -> StorageResult<ReplicaApply> {
+    ///
+    /// Records are taken by value and move through replay into the image,
+    /// so the follower path never copies a payload either.
+    pub fn apply_replicated(&self, records: Vec<LogRecord>) -> StorageResult<ReplicaApply> {
         let rec = self.recorder.read().clone();
         let span = rec.span(Stage::ReplicaApply);
         let mut inner = self.inner.lock();
@@ -1041,16 +1049,17 @@ impl Store {
         let mut bytes_written = 0u64;
         let mut touch = Touch::default();
         for record in records {
-            let at = inner.logw.append(record)?;
+            let at = inner.logw.append(&record)?;
             bytes_written += inner.logw.len() - at;
             appends += 1;
             // A follower reopened with a prepared tail carries the unit as
             // in-doubt until the primary's seal arrives through the stream.
             if let LogRecord::UnitEnd { unit, .. } = record {
-                if inner.in_doubt.map(|(u, _, _)| u) == Some(*unit) {
+                if inner.in_doubt.map(|(u, _, _)| u) == Some(unit) {
                     inner.in_doubt = None;
                 }
             }
+            let txn = record.txn();
             let ready = inner.replay.offer(record);
             if !ready.is_empty() {
                 Stats::bump(&self.stats.commits);
@@ -1089,7 +1098,7 @@ impl Store {
                 summary.applied += 1;
             }
             if let Some((s, before)) = unit_span {
-                s.finish(summary.applied - before, record.txn());
+                s.finish(summary.applied - before, txn);
             }
         }
         Stats::add(&self.stats.image_nodes_cloned, touch.nodes_cloned);
@@ -1610,6 +1619,8 @@ mod tests {
             after < before,
             "compaction must shrink the log ({before} -> {after})"
         );
+        // The replication horizon is the compacted file's full length.
+        assert_eq!(store.committed_log_len(), after);
         assert_eq!(store.get(oid).as_deref(), Some(&[49u8; 64][..]));
         // The store must remain writable after compaction.
         store

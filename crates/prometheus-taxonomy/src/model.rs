@@ -363,8 +363,7 @@ impl Taxonomy {
 
     /// The rank of an NT or CT (`None` for specimens).
     pub fn rank_of(&self, oid: Oid) -> DbResult<Option<Rank>> {
-        let obj = self.db.object(oid)?;
-        Ok(obj.attr("rank").as_str().and_then(Rank::from_name))
+        rank_in(&self.db, oid)
     }
 
     /// Publication year of an NT.
@@ -404,11 +403,21 @@ impl Taxonomy {
 
     /// Whether an object is a specimen.
     pub fn is_specimen(&self, oid: Oid) -> bool {
-        self.db
-            .class_of(oid)
-            .map(|c| c == "Specimen")
-            .unwrap_or(false)
+        is_specimen_in(&self.db, oid)
     }
+}
+
+/// [`Taxonomy::rank_of`] on a borrowed database, for event listeners: they
+/// read through the `&Database` each callback receives rather than holding
+/// a facade (and with it an `Arc<Database>`).
+pub(crate) fn rank_in(db: &Database, oid: Oid) -> DbResult<Option<Rank>> {
+    let obj = db.object(oid)?;
+    Ok(obj.attr("rank").as_str().and_then(Rank::from_name))
+}
+
+/// [`Taxonomy::is_specimen`] on a borrowed database (see [`rank_in`]).
+pub(crate) fn is_specimen_in(db: &Database, oid: Oid) -> bool {
+    db.class_of(oid).map(|c| c == "Specimen").unwrap_or(false)
 }
 
 #[cfg(test)]

@@ -30,10 +30,12 @@
 //!   and `harness top` can show where time goes without replaying spans;
 //! * **a bounded trace index** — a fixed table of buckets keyed by
 //!   trace id remembering which ring slots a trace wrote, making
-//!   [`Recorder::events_for`] O(spans) instead of O(capacity). The index
-//!   is best-effort by design: buckets are evicted when traces collide and
-//!   overflow past [`INDEX_TICKETS`] spans falls back to a full ring scan;
-//!   both are counted honestly ([`Recorder::index_evictions`],
+//!   [`Recorder::events_for`] O(bucket) instead of O(capacity). The index
+//!   is best-effort by design: traces that collide share a bucket, and a
+//!   bucket that had to overwrite a ticket still live in the ring (more
+//!   than [`INDEX_TICKETS`] recent spans hashed there) sends lookups to a
+//!   full ring scan rather than return a partial trace; both are counted
+//!   honestly ([`Recorder::index_evictions`],
 //!   [`Recorder::index_overflows`]) rather than hidden.
 //!
 //! ## Overwrite semantics
@@ -253,8 +255,9 @@ pub const ROLLUP_BOUNDS_US: [u64; 8] = [50, 100, 250, 1_000, 5_000, 25_000, 100_
 /// Rollup bucket count: one per bound plus the overflow bucket.
 pub const ROLLUP_BUCKETS: usize = ROLLUP_BOUNDS_US.len() + 1;
 
-/// Ring tickets remembered per trace-index bucket; a trace recording more
-/// spans than this overflows to a full ring scan (counted, not hidden).
+/// Ring tickets remembered per trace-index bucket; when more spans than
+/// this hash to one bucket within one lap of the ring, lookups there
+/// overflow to a full ring scan (counted, not hidden).
 pub const INDEX_TICKETS: usize = 32;
 
 /// One seqlock-guarded slot. `seq` is odd while a writer owns the slot and
@@ -324,15 +327,22 @@ impl StageRollup {
     }
 }
 
-/// One bucket of the bounded trace index: the trace key (two words) plus a
-/// tiny ring of ring-buffer tickets the trace wrote. Updates are relaxed
-/// and deliberately racy — two traces hashing to the same bucket evict each
-/// other (counted) and a torn bucket only costs the reader a fallback scan,
-/// because every ticket is re-verified against the main ring's trace id.
+/// One bucket of the bounded trace index: a tiny ring of the main ring's
+/// tickets, noted by every trace that hashes here. Colliding traces share
+/// the bucket instead of evicting each other: a lookup keeps only the
+/// tickets whose ring slot still carries the asked-for trace id. The bucket
+/// answers for a trace only while no ticket still live in the main ring has
+/// been overwritten here, because that ticket may have been the trace's.
+/// Updates are relaxed and deliberately racy; a torn bucket only costs the
+/// reader a fallback scan, because every ticket is re-verified against the
+/// main ring's trace id.
 struct IndexBucket {
+    /// The trace of the latest note, so collisions can be counted.
     hi: AtomicU64,
     lo: AtomicU64,
     cursor: AtomicU64,
+    /// Newest ticket overwritten in `tickets` (+1; 0 = none).
+    lost: AtomicU64,
     tickets: [AtomicU64; INDEX_TICKETS],
 }
 
@@ -342,6 +352,7 @@ impl IndexBucket {
             hi: AtomicU64::new(0),
             lo: AtomicU64::new(0),
             cursor: AtomicU64::new(0),
+            lost: AtomicU64::new(0),
             tickets: Default::default(),
         }
     }
@@ -349,6 +360,7 @@ impl IndexBucket {
 
 struct TraceIndex {
     buckets: Vec<IndexBucket>,
+    ring_capacity: u64,
     evictions: AtomicU64,
     overflows: AtomicU64,
 }
@@ -358,6 +370,7 @@ impl TraceIndex {
         let n = (ring_capacity / 8).next_power_of_two().clamp(64, 4096);
         TraceIndex {
             buckets: (0..n).map(|_| IndexBucket::new()).collect(),
+            ring_capacity: ring_capacity as u64,
             evictions: AtomicU64::new(0),
             overflows: AtomicU64::new(0),
         }
@@ -374,43 +387,52 @@ impl TraceIndex {
         &self.buckets[(h as usize) & (self.buckets.len() - 1)]
     }
 
+    /// Whether the event at `ticket` is still in the ring once the ring's
+    /// cursor has reached `end`.
+    fn live(&self, ticket: u64, end: u64) -> bool {
+        ticket + self.ring_capacity >= end
+    }
+
     fn note(&self, trace: TraceId, ticket: u64) {
         let b = self.bucket_of(trace);
         if b.hi.load(Ordering::Relaxed) != trace.hi || b.lo.load(Ordering::Relaxed) != trace.lo {
             if b.lo.load(Ordering::Relaxed) != 0 || b.hi.load(Ordering::Relaxed) != 0 {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
-            b.cursor.store(0, Ordering::Relaxed);
             b.hi.store(trace.hi, Ordering::Relaxed);
             b.lo.store(trace.lo, Ordering::Relaxed);
         }
         let t = b.cursor.fetch_add(1, Ordering::Relaxed);
-        if t as usize >= INDEX_TICKETS {
-            self.overflows.fetch_add(1, Ordering::Relaxed);
-        }
         // Stored +1 so 0 means "empty".
-        b.tickets[(t as usize) % INDEX_TICKETS].store(ticket + 1, Ordering::Relaxed);
+        let old = b.tickets[(t as usize) % INDEX_TICKETS].swap(ticket + 1, Ordering::Relaxed);
+        if old != 0 {
+            // The cursor is already past `ticket`.
+            if self.live(old - 1, ticket + 1) {
+                self.overflows.fetch_add(1, Ordering::Relaxed);
+            }
+            b.lost.fetch_max(old, Ordering::Relaxed);
+        }
     }
 
-    /// The ring tickets recorded for `trace`, or `None` when the bucket
-    /// was evicted or overflowed (caller falls back to a full scan).
-    fn lookup(&self, trace: TraceId) -> Option<Vec<u64>> {
+    /// Candidate ring tickets for `trace` when the ring's cursor is at
+    /// `end` (the caller keeps those whose slot carries the trace), or
+    /// `None` when the bucket overwrote a ticket that is still live and so
+    /// may be missing one of the trace's events (caller falls back to a
+    /// full scan).
+    fn lookup(&self, trace: TraceId, end: u64) -> Option<Vec<u64>> {
         let b = self.bucket_of(trace);
-        if b.hi.load(Ordering::Relaxed) != trace.hi || b.lo.load(Ordering::Relaxed) != trace.lo {
+        let lost = b.lost.load(Ordering::Relaxed);
+        if lost != 0 && self.live(lost - 1, end) {
             return None;
         }
-        let n = b.cursor.load(Ordering::Relaxed);
-        if n as usize > INDEX_TICKETS {
-            return None;
-        }
-        let mut out = Vec::with_capacity(n as usize);
-        for slot in b.tickets.iter().take(n as usize) {
-            let v = slot.load(Ordering::Relaxed);
-            if v != 0 {
-                out.push(v - 1);
-            }
-        }
-        Some(out)
+        Some(
+            b.tickets
+                .iter()
+                .map(|slot| slot.load(Ordering::Relaxed))
+                .filter(|&v| v != 0)
+                .map(|v| v - 1)
+                .collect(),
+        )
     }
 }
 
@@ -625,16 +647,17 @@ impl Recorder {
             .map_or(0, |i| i.dropped.load(Ordering::Relaxed))
     }
 
-    /// Trace-index buckets reassigned to a newer trace (the old trace falls
-    /// back to a full ring scan).
+    /// Trace-index notes that landed in a bucket last noted by another
+    /// trace (colliding traces share the bucket).
     pub fn index_evictions(&self) -> u64 {
         self.inner
             .as_ref()
             .map_or(0, |i| i.index.evictions.load(Ordering::Relaxed))
     }
 
-    /// Spans recorded past a trace's [`INDEX_TICKETS`] index capacity
-    /// (lookups for such traces fall back to a full ring scan).
+    /// Trace-index notes that overwrote a ticket still live in the ring
+    /// (lookups in that bucket fall back to a full ring scan until the
+    /// overwritten event has left the ring).
     pub fn index_overflows(&self) -> u64 {
         self.inner
             .as_ref()
@@ -686,23 +709,25 @@ impl Recorder {
     }
 
     /// All ring events belonging to one trace, oldest first. Served from
-    /// the bounded trace index when it still holds the trace (O(spans));
-    /// falls back to a full ring scan after an eviction or overflow.
+    /// the bounded trace index when its bucket is complete
+    /// (O([`INDEX_TICKETS`])); falls back to a full ring scan after an
+    /// overflow.
     pub fn events_for(&self, trace_id: TraceId) -> Vec<TraceEvent> {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
         if !trace_id.is_none() {
-            if let Some(tickets) = inner.index.lookup(trace_id) {
+            let end = inner.cursor.load(Ordering::Acquire);
+            if let Some(tickets) = inner.index.lookup(trace_id, end) {
                 let cap = inner.slots.len() as u64;
-                let end = inner.cursor.load(Ordering::Acquire);
                 let mut out: Vec<TraceEvent> = tickets
                     .iter()
                     // A ticket lapped by `capacity` newer events no longer
                     // names this trace's slot.
                     .filter(|&&t| t + cap >= end)
                     .filter_map(|&t| read_slot(&inner.slots[(t % cap) as usize]))
-                    // Re-verify: the index is racy, the ring is the truth.
+                    // Keep this trace's events: the bucket is shared by
+                    // colliding traces and racy, and the ring is the truth.
                     .filter(|e| e.trace_id == trace_id)
                     .collect();
                 out.sort_by_key(|e| (e.start_us, e.span_id));
@@ -1028,6 +1053,64 @@ mod tests {
         let evs = r.events_for(t1);
         assert_eq!(evs.len(), 2);
         assert!(evs.iter().all(|e| e.trace_id == t1));
+    }
+
+    /// A trace id other than `t` that lands in the same index bucket.
+    fn colliding(r: &Recorder, t: TraceId) -> TraceId {
+        let index = &r.inner.as_ref().unwrap().index;
+        let bucket: *const IndexBucket = index.bucket_of(t);
+        (1..)
+            .map(|lo| TraceId::from_words(t.hi ^ 1, lo))
+            .find(|&c| std::ptr::eq(index.bucket_of(c), bucket))
+            .unwrap()
+    }
+
+    #[test]
+    fn colliding_traces_never_get_partial_results() {
+        let r = Recorder::new(256);
+        let t1 = r.new_trace_id();
+        let t2 = colliding(&r, t1);
+        // t1, t2, t1 in one bucket: neither hides the other's spans.
+        r.span_in(Stage::Scan, t1, 0).finish(10, 0);
+        r.span_in(Stage::Scan, t2, 0).finish(20, 0);
+        r.span_in(Stage::Join, t1, 0).finish(30, 0);
+        assert_eq!(r.index_evictions(), 2);
+        let inner = r.inner.as_ref().unwrap();
+        let end = || inner.cursor.load(Ordering::Acquire);
+        assert!(inner.index.lookup(t1, end()).is_some());
+        assert_eq!(r.events_for(t1).len(), 2);
+        assert_eq!(r.events_for(t2).len(), 1);
+        // t2 overfills the bucket: t1's tickets are overwritten while its
+        // spans are still in the ring, so the index declines and the ring
+        // scan still finds both.
+        for _ in 0..INDEX_TICKETS {
+            r.span_in(Stage::Filter, t2, 0).finish(0, 0);
+        }
+        assert!(r.index_overflows() > 0);
+        assert!(inner.index.lookup(t1, end()).is_none());
+        assert_eq!(r.events_for(t1).len(), 2);
+        assert_eq!(r.events_for(t2).len(), INDEX_TICKETS + 1);
+    }
+
+    #[test]
+    fn index_serves_lookups_in_steady_state() {
+        // A long-running recorder: every bucket has seen many traces. The
+        // index must keep answering lookups for the trace that just ran.
+        let r = Recorder::new(1024);
+        let inner = r.inner.as_ref().unwrap();
+        let mut served = 0;
+        for _ in 0..1000 {
+            let t = r.new_trace_id();
+            for _ in 0..8 {
+                r.span_in(Stage::Scan, t, 0).finish(0, 0);
+            }
+            let end = inner.cursor.load(Ordering::Acquire);
+            if inner.index.lookup(t, end).is_some() {
+                served += 1;
+            }
+            assert_eq!(r.events_for(t).len(), 8);
+        }
+        assert!(served >= 900, "index served {served} of 1000 lookups");
     }
 
     #[test]

@@ -279,6 +279,55 @@ mod tests {
         assert!(!p.rules().rules().is_empty());
     }
 
+    /// Open a database, exercise it through `install`, drop everything, and
+    /// check the database itself was freed: nothing it owns (its listeners
+    /// above all) may hold it alive.
+    fn assert_freed_after_drop(name: &str, install: impl FnOnce(&Prometheus) -> Taxonomy) {
+        let p = Prometheus::open_with(
+            tmp(name),
+            StoreOptions {
+                sync_on_commit: false,
+            },
+        )
+        .unwrap();
+        let tax = install(&p);
+        let weak = Arc::downgrade(p.db());
+        drop(tax);
+        drop(p);
+        assert!(
+            weak.upgrade().is_none(),
+            "a dropped database must be freed ({name})"
+        );
+    }
+
+    #[test]
+    fn dropped_database_with_icbn_rules_is_freed() {
+        assert_freed_after_drop("freed-icbn", |p| {
+            let tax = p.taxonomy_with_icbn().unwrap();
+            p.unit(|_| {
+                let s = tax.create_specimen("S1")?;
+                let genus = tax.create_nt("Apium", Rank::Genus, 1753, "L.")?;
+                tax.typify(genus, s, TypeKind::Lectotype)?;
+                let species = tax.create_nt("graveolens", Rank::Species, 1753, "L.")?;
+                tax.typify(species, s, TypeKind::Lectotype)?;
+                // Fires the native placement rule, which reads the database.
+                tax.place(genus, species)
+            })
+            .unwrap();
+            tax
+        });
+    }
+
+    #[test]
+    fn dropped_database_with_history_is_freed() {
+        assert_freed_after_drop("freed-history", |p| {
+            p.enable_history().unwrap();
+            let tax = p.taxonomy().unwrap();
+            tax.create_ct("recorded", Rank::Genus).unwrap();
+            tax
+        });
+    }
+
     #[test]
     fn unit_helper_commits_and_aborts() {
         let p = Prometheus::open_with(
